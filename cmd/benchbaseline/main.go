@@ -127,12 +127,10 @@ type Baseline struct {
 		RegionWriteChurn Micro `json:"region_write_churn"`
 	} `json:"data_plane"`
 
-	// MemoryFootprint records the extent-arena footprint study: the large
-	// sweep points re-run standalone with peak tracking rebaselined, so the
+	// MemoryFootprint records the extent footprint study: the large sweep
+	// points re-run standalone with peak tracking rebaselined, so the
 	// high-water mark of live extent descriptors and the cumulative Go
-	// allocation are attributable to the point. The arena counters tell the
-	// reclamation story (how many node allocations were recycled vs minted,
-	// and how many nodes epoch closes returned).
+	// allocation are attributable to the point.
 	MemoryFootprint struct {
 		Kernel string           `json:"kernel"`
 		Points []FootprintPoint `json:"points"`
@@ -219,13 +217,6 @@ type FootprintPoint struct {
 	PeakLiveExtents  int64   `json:"peak_live_extents"`
 	FinalLiveExtents int64   `json:"final_live_extents"`
 	AllocMB          float64 `json:"alloc_mb"`
-	ArenaChunks      int64   `json:"arena_chunks"`
-	ArenaRecycled    uint64  `json:"arena_recycled"`
-	ArenaMinted      uint64  `json:"arena_minted"`
-	EpochFrees       uint64  `json:"epoch_frees"`
-	EpochsClosed     uint64  `json:"epochs_closed"`
-	Compactions      uint64  `json:"compactions"`
-	CompactedExts    uint64  `json:"compacted_extents"`
 }
 
 // measureMemory fills the memory_footprint section: the top two sweep points
@@ -275,14 +266,12 @@ func measureMemory(b *Baseline, sc exp.Scale, sweepRanks []int) {
 		var ms0 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		payload.ResetPeakLiveExtents()
-		arBefore := metrics.CaptureArena()
 		dpBefore := metrics.CaptureDataPlane()
 		start := time.Now()
 		out := exp.RunMigration(npb.LU, exp.Scale{Class: sc.Class, Ranks: ranks, PPN: sc.PPN, Seed: sc.Seed}, core.Options{}, false)
 		wall := time.Since(start).Seconds()
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		ar := metrics.CaptureArena().Delta(arBefore)
 		dp := metrics.CaptureDataPlane()
 		allocMB := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
 		// This is the same standalone measurement the top_sweep_point section
@@ -302,16 +291,9 @@ func measureMemory(b *Baseline, sc exp.Scale, sweepRanks []int) {
 			Ranks:            ranks,
 			WallS:            wall,
 			Events:           out.Events,
-			PeakLiveExtents:  ar.PeakLiveExtents,
+			PeakLiveExtents:  payload.DataPlaneSnapshot().PeakLiveExtents,
 			FinalLiveExtents: dp.LiveExtents,
 			AllocMB:          allocMB,
-			ArenaChunks:      ar.Chunks,
-			ArenaRecycled:    ar.Recycled,
-			ArenaMinted:      ar.Minted,
-			EpochFrees:       ar.EpochFrees,
-			EpochsClosed:     ar.EpochsClosed,
-			Compactions:      ar.Compactions,
-			CompactedExts:    ar.CompactedAway,
 		})
 	}
 }
@@ -625,8 +607,8 @@ func main() {
 			measureMemory(&b, sc, sweepRanks)
 			writeBaseline(*out, &b)
 			top := b.MemoryFootprint.Points[len(b.MemoryFootprint.Points)-1]
-			fmt.Printf("updated memory_footprint section of %s (%d ranks: peak %d live extents, %.0f MB allocated, %d recycled / %d minted)\n",
-				*out, top.Ranks, top.PeakLiveExtents, top.AllocMB, top.ArenaRecycled, top.ArenaMinted)
+			fmt.Printf("updated memory_footprint section of %s (%d ranks: peak %d live extents, %.0f MB allocated)\n",
+				*out, top.Ranks, top.PeakLiveExtents, top.AllocMB)
 		case "telemetry":
 			measureTelemetry(&b, sc)
 			writeBaseline(*out, &b)

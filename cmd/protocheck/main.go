@@ -21,8 +21,6 @@ import (
 
 	"ibmig/internal/check"
 	"ibmig/internal/exp"
-	"ibmig/internal/obs"
-	"ibmig/internal/payload"
 	"ibmig/internal/strategy"
 )
 
@@ -40,17 +38,10 @@ func main() {
 		parts    = flag.Int("partitions", 0, "run the partitioned-engine invariant sweep with this many partitions per scenario (0 with -workers unset = off; -1 = random 2-5)")
 		workers  = flag.Int("workers", 0, "worker goroutines per partitioned scenario (implies the partitioned sweep; determinism is cross-checked against workers=1)")
 		fleetN   = flag.Int("fleet", 0, "run the fleet control-plane invariant sweep with this many scenarios (0 = off)")
-		poison   = flag.Bool("poison", false, "poison retired extent-arena nodes and validate on reuse (use-after-free detector; host-side only, results unchanged)")
 		flight   = flag.Bool("flight-dump", false, "include the flight recorder's telemetry tail in every result, not just failures")
 	)
 	flag.Parse()
 
-	if *poison {
-		payload.SetPoisonFreed(true)
-		// Strict telemetry posture rides along: misuse of the obs API (e.g.
-		// histogram bucket-bound mismatches) panics instead of being ignored.
-		obs.SetStrict(true)
-	}
 	if *flight {
 		check.SetFlightDump(true)
 	}

@@ -205,6 +205,18 @@ func (c *Cluster) KillNode(p *sim.Proc, name string) {
 	})
 }
 
+// Release drops every process image and file the cluster holds, taking
+// their extents off the live count. Call once the simulation is over.
+func (c *Cluster) Release() {
+	for _, n := range c.nodes {
+		n.Procs.Clear()
+		n.FS.RemoveAll()
+	}
+	if c.PVFS != nil {
+		c.PVFS.RemoveAll()
+	}
+}
+
 // ComputeNames returns the compute node names in order.
 func (c *Cluster) ComputeNames() []string {
 	out := make([]string, len(c.Compute))

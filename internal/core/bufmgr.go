@@ -123,11 +123,12 @@ func newSrcBufMgr(p *sim.Proc, fw *Framework, node *cluster.Node, m *migrationSt
 	return s
 }
 
-// close releases the source-side transport resources.
+// close releases the source-side transport resources and the pool.
 func (s *srcBufMgr) close() {
 	if s.poolMR != nil {
 		s.poolMR.Deregister()
 	}
+	s.pool.Release()
 	if s.qp != nil {
 		s.qp.Close()
 	}

@@ -8,7 +8,6 @@ import (
 	"ibmig/internal/ftb"
 	"ibmig/internal/ib"
 	"ibmig/internal/obs"
-	"ibmig/internal/payload"
 	"ibmig/internal/sim"
 )
 
@@ -353,9 +352,6 @@ func (a *NLA) runRestart(p *sim.Proc, m *migrationState) {
 	if opts.RestartMode == RestartFile {
 		m.tgt.closeFiles()
 	}
-	// Every image has been consumed by a successful restart: close the
-	// reclamation epoch so nodes retired during reassembly become reusable.
-	payload.AdvanceEpoch()
 	m.restarted.Fire()
 	a.setState(StateReady)
 	a.client.Publish(p, ftb.Event{

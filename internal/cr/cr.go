@@ -23,7 +23,6 @@ import (
 	"ibmig/internal/metrics"
 	"ibmig/internal/mpi"
 	"ibmig/internal/obs"
-	"ibmig/internal/payload"
 	"ibmig/internal/proc"
 	"ibmig/internal/sim"
 )
@@ -267,9 +266,6 @@ func (r *Runner) Restart(p *sim.Proc) sim.Duration {
 	for _, tbl := range scratch {
 		tbl.Clear()
 	}
-	// Images are verified and consumed: close the reclamation epoch so extent
-	// nodes retired while streaming them become reusable.
-	payload.AdvanceEpoch()
 	return p.Now().Sub(start)
 }
 
@@ -382,11 +378,11 @@ func (r *Runner) RestartInPlace(p *sim.Proc, placement map[int]string) error {
 	return firstErr
 }
 
-// Cleanup removes the checkpoint images from storage, returning their
-// extent nodes to the payload arena, and closes the reclamation epoch. Call
-// it once the images are no longer needed — the job completed, or a newer
-// checkpoint superseded them. The image set is consumed: a later Restart
-// must Checkpoint again first. Pure metadata operation, no simulated cost.
+// Cleanup removes the checkpoint images from storage, taking their extents
+// off the live count. Call it once the images are no longer needed — the job
+// completed, or a newer checkpoint superseded them. The image set is
+// consumed: a later Restart must Checkpoint again first. Pure metadata
+// operation, no simulated cost.
 func (r *Runner) Cleanup() {
 	for id, name := range r.files {
 		if r.Target == Ext3 {
@@ -396,7 +392,6 @@ func (r *Runner) Cleanup() {
 		}
 	}
 	r.sums, r.files, r.nodes = nil, nil, nil
-	payload.AdvanceEpoch()
 }
 
 // FullCycle checkpoints and then measures the restart, returning the

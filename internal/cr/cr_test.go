@@ -210,7 +210,7 @@ func TestWriteAggregationSpeedsUpCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointCycleExtentLeak is the arena leak guard: a full
+// TestCheckpointCycleExtentLeak is the extent leak guard: a full
 // checkpoint→restart cycle plus Cleanup must return the process-wide
 // live-extent level to its pre-cycle baseline. The baseline is taken after a
 // first cycle so every lazily-materialized region (first TouchMemory, first

@@ -58,7 +58,7 @@ func newSession(k npb.Kernel, sc Scale, ranks, ppn, spares, pvfsServers int, opt
 }
 
 // drive runs fn as the experiment controller and executes the simulation to
-// completion.
+// completion, then releases the cluster's process images and files.
 func (s *session) drive(fn func(p *sim.Proc)) {
 	s.e.Spawn("exp.ctl", func(p *sim.Proc) {
 		s.fw.W.WaitReady(p)
@@ -69,6 +69,7 @@ func (s *session) drive(fn func(p *sim.Proc)) {
 		panic("exp: " + err.Error())
 	}
 	s.e.Shutdown()
+	s.c.Release()
 }
 
 // triggerAt returns the default migration trigger time: a third into the

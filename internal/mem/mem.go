@@ -42,15 +42,6 @@ type Region struct {
 	filled bool
 }
 
-// compactEvery and compactMinExtents gate the periodic compaction pass: every
-// compactEvery-th write to a region fragmented beyond compactMinExtents
-// re-coalesces it (see payload.Tree.Compact). Content-neutral, so it can only
-// affect host wall time, never simulated results.
-const (
-	compactEvery      = 256
-	compactMinExtents = 64
-)
-
 // NewRegion returns a region of the given size. Initial content is a
 // deterministic synthetic fill derived from seed (simulated uninitialized
 // memory: stable, but not meaningful) — a single extent, instantiated only
@@ -110,9 +101,6 @@ func (r *Region) Write(off int64, b payload.Buffer) {
 	r.t.Splice(off, n, b)
 	r.writes++
 	regionWrites.Add(1)
-	if r.writes%compactEvery == 0 && r.t.Extents() > compactMinExtents {
-		r.t.Compact()
-	}
 }
 
 // Read returns the content of [off, off+n) without copying.
@@ -142,21 +130,12 @@ func (r *Region) Checksum() uint64 {
 	return r.t.Checksum()
 }
 
-// Compact re-coalesces the region's extent tree (see payload.Tree.Compact)
-// and returns the number of extents eliminated.
-func (r *Region) Compact() int {
-	if !r.filled {
-		return 0
-	}
-	return r.t.Compact()
-}
-
-// Release returns the region's extent nodes to the payload arena and resets
-// it to its initial synthetic state. Call when the region's lifecycle ends —
-// an RDMA buffer deregistered at teardown, a process image segment discarded
-// after migration. The region stays usable (content reverts to the seed
-// fill), but callers must not hold Buffers sliced from it across a Release
-// if poison mode is to give meaningful reports.
+// Release drops the region's extent tree, taking its extents off the live
+// count, and resets it to its initial synthetic state. Call when the
+// region's lifecycle ends — an RDMA buffer deregistered at teardown, a
+// process image segment discarded after migration. The region stays usable
+// (content reverts to the seed fill); Buffers sliced from it earlier keep
+// their content.
 func (r *Region) Release() {
 	if r.filled {
 		r.t.Release()

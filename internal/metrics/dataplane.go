@@ -51,3 +51,26 @@ func (d DataPlane) String() string {
 		"data plane: %d region writes | %d live extents | %d splits | %d merges | %d bytes materialized",
 		d.RegionWrites, d.LiveExtents, d.ExtentSplits, d.ExtentMerges, d.MaterializedBytes)
 }
+
+// Arena is the extent-node allocation view: nodes allocated and the
+// live-extent high-water mark. Nodes are ordinary garbage-collected objects,
+// so none is ever recycled; Recycled stays, always zero, because perfbench
+// reads it.
+type Arena struct {
+	Minted          uint64 // extent-tree nodes allocated
+	Recycled        uint64 // always 0: nodes are never reused
+	PeakLiveExtents int64  // high-water mark of live extents
+}
+
+// CaptureArena snapshots the node-allocation counters.
+func CaptureArena() Arena {
+	s := payload.DataPlaneSnapshot()
+	return Arena{Minted: s.NodesAllocated, PeakLiveExtents: s.PeakLiveExtents}
+}
+
+// Delta returns the allocations between the since snapshot and this one.
+// PeakLiveExtents keeps its current absolute value: a peak has no
+// meaningful difference.
+func (a Arena) Delta(since Arena) Arena {
+	return Arena{Minted: a.Minted - since.Minted, PeakLiveExtents: a.PeakLiveExtents}
+}

@@ -91,11 +91,10 @@ func (c *conn) materialize() {
 }
 
 // destroy tears down this endpoint. Materialized: revoke the pinned buffer,
-// release its region's extents back to the arena, close the QP (which wakes
-// the pump off its receive queue to exit). Lazy: mark closed and wake the
-// dormant pump so it can end — unless the fabric already broke the pair, in
-// which case the pump was woken then, mirroring the double-Close no-op on a
-// real queue. The caller clears the conns slot.
+// release its region's extents, close the QP (which wakes the pump off its
+// receive queue to exit). Lazy: mark closed and wake the dormant pump so it
+// can end — unless the fabric already broke the pair, in which case the pump
+// was woken then, mirroring the double-Close no-op on a real queue. The caller clears the conns slot.
 func (c *conn) destroy() {
 	c.closed = true
 	if c.qp != nil {

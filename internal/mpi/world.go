@@ -233,7 +233,7 @@ func (w *World) WaitDone(p *sim.Proc) { w.done.Wait(p) }
 func (w *World) Done() bool { return w.done.Fired() }
 
 // Shutdown tears down all connections so pump daemons exit, releasing every
-// rendezvous buffer's extents back to the arena.
+// rendezvous buffer's extents.
 func (w *World) Shutdown() {
 	for _, r := range w.ranks {
 		for i, c := range r.conns {

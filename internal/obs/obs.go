@@ -329,9 +329,9 @@ func (c *Collector) SetGauge(name string, v float64) {
 // Hist returns the named histogram, creating it with the given bucket upper
 // bounds on first use. Returns nil (itself a no-op histogram) on a nil
 // collector. Bounds are only consulted at creation; callers of the same name
-// must agree on them — a re-use with different non-nil bounds is ignored in
-// production but panics under SetStrict (protocheck -poison), since silently
-// bucketing into the wrong ladder corrupts every quantile downstream.
+// must agree on them — a re-use with different non-nil bounds panics, since
+// silently bucketing into the wrong ladder corrupts every quantile
+// downstream.
 func (c *Collector) Hist(name string, bounds []float64) *Histogram {
 	if c == nil {
 		return nil
@@ -341,7 +341,7 @@ func (c *Collector) Hist(name string, bounds []float64) *Histogram {
 		h = newHistogram(bounds)
 		h.col, h.name = c, name
 		c.hists[name] = h
-	} else if bounds != nil && strictMode.Load() && !equalBounds(h.Bounds, bounds) {
+	} else if bounds != nil && !equalBounds(h.Bounds, bounds) {
 		panic(fmt.Sprintf("obs: Hist(%q) bucket-bound mismatch: created with %v, re-requested with %v",
 			name, h.Bounds, bounds))
 	}
@@ -394,7 +394,7 @@ func (c *Collector) Finish(t sim.Time) {
 	for _, tr := range c.tracks {
 		tr.finish(t)
 	}
-	c.RecordArena()
+	c.RecordDataPlane()
 }
 
 // CounterNames, GaugeNames, HistNames and TrackNames return sorted name

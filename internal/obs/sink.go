@@ -27,7 +27,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ibmig/internal/sim"
 )
@@ -288,16 +287,3 @@ func (c *Collector) Heartbeat(t sim.Time, events uint64) {
 		c.emit(Event{Kind: EvHeartbeat, T: t, Value: float64(events)})
 	}
 }
-
-// strictMode gates the histogram bounds-mismatch panic (see Collector.Hist).
-// Host-side debug posture, mirroring payload.SetPoisonFreed: protocheck's
-// -poison flag turns it on.
-var strictMode atomic.Bool
-
-// SetStrict toggles strict (poison/debug) mode: telemetry misuse that is
-// silently tolerated in production — currently Hist() re-use with different
-// bucket bounds — panics instead. Results are unchanged either way.
-func SetStrict(on bool) { strictMode.Store(on) }
-
-// Strict reports whether strict mode is on.
-func Strict() bool { return strictMode.Load() }

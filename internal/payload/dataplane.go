@@ -14,6 +14,8 @@ import (
 // a run and report the delta.
 var (
 	liveExtents       atomic.Int64
+	peakLiveExtents   atomic.Int64
+	nodesAllocated    atomic.Uint64
 	extentSplits      atomic.Uint64
 	extentMerges      atomic.Uint64
 	materializedBytes atomic.Uint64
@@ -21,7 +23,9 @@ var (
 
 // DataPlaneStats is a snapshot of the payload data-plane counters.
 type DataPlaneStats struct {
-	LiveExtents       int64  // extent-tree nodes currently allocated
+	LiveExtents       int64  // extent-tree nodes currently held by trees
+	PeakLiveExtents   int64  // high-water mark of LiveExtents
+	NodesAllocated    uint64 // extent-tree nodes ever allocated
 	ExtentSplits      uint64 // extents cut in place by Tree.split
 	ExtentMerges      uint64 // extents coalesced at splice seams
 	MaterializedBytes uint64 // real bytes produced by Materialize calls
@@ -31,9 +35,28 @@ type DataPlaneStats struct {
 func DataPlaneSnapshot() DataPlaneStats {
 	return DataPlaneStats{
 		LiveExtents:       liveExtents.Load(),
+		PeakLiveExtents:   peakLiveExtents.Load(),
+		NodesAllocated:    nodesAllocated.Load(),
 		ExtentSplits:      extentSplits.Load(),
 		ExtentMerges:      extentMerges.Load(),
 		MaterializedBytes: materializedBytes.Load(),
+	}
+}
+
+// ResetPeakLiveExtents rebaselines the peak-live-extents high-water mark to
+// the current level and returns the old peak (benchmarks isolate a run by
+// resetting before and reading after).
+func ResetPeakLiveExtents() int64 {
+	return peakLiveExtents.Swap(liveExtents.Load())
+}
+
+// notePeak records a new liveExtents level in the high-water mark.
+func notePeak(level int64) {
+	for {
+		old := peakLiveExtents.Load()
+		if level <= old || peakLiveExtents.CompareAndSwap(old, level) {
+			return
+		}
 	}
 }
 

@@ -25,24 +25,13 @@ import "fmt"
 // allocation. A full-region overwrite therefore collapses the tree back to a
 // single extent regardless of write history.
 //
-// The zero value is an empty, ready-to-use tree.
-//
-// Nodes are allocated from the slab arena (see arena.go): each tree owns a
-// private free list plus an epoch-tagged retire list, so splice churn reuses
-// nodes without a GC round trip and Tree.Release returns everything to the
-// global pool when the owning lifecycle (region, file, checkpoint image)
-// closes.
+// The zero value is an empty, ready-to-use tree. Nodes are ordinary
+// garbage-collected objects; a node cut out by Splice is simply dropped.
+// Release ends the tree's lifecycle and takes its extents off the live count.
 type Tree struct {
 	root *extNode
 	prng uint64 // deterministic priority stream
 	ins  []Part // scratch for splice insertions, reused across calls
-
-	// Arena state (host-side only; see arena.go).
-	free        *extNode // tree-local free list, reusable now
-	retired     *extNode // awaiting the close of retireEpoch
-	freeN       int64
-	retiredN    int64
-	retireEpoch uint64 // epoch the current retired batch belongs to
 }
 
 type extNode struct {
@@ -83,9 +72,17 @@ func ncnt(n *extNode) int32 {
 func (t *Tree) newNode(p Part) *extNode {
 	t.prng++
 	notePeak(liveExtents.Add(1))
-	n := t.alloc()
-	n.part, n.pri, n.bytes, n.cnt = p, mix64(t.prng), p.Size(), 1
-	return n
+	nodesAllocated.Add(1)
+	return &extNode{part: p, pri: mix64(t.prng), bytes: p.Size(), cnt: 1}
+}
+
+// Release ends the tree's lifecycle — a released memory region, a truncated
+// or removed file, a consumed checkpoint image — dropping every extent and
+// resetting the tree to empty (the zero value, reusable).
+func (t *Tree) Release() {
+	liveExtents.Add(-int64(ncnt(t.root)))
+	t.root = nil
+	t.ins = nil
 }
 
 // upd recomputes n's subtree aggregates after a child change.
@@ -207,15 +204,12 @@ func setFirstPart(n *extNode, p Part) {
 }
 
 // dropLast removes the rightmost extent of n, returning the remaining tree.
-// The removed node is retired into the tree's current epoch.
-func (t *Tree) dropLast(n *extNode) *extNode {
+func dropLast(n *extNode) *extNode {
 	if n.right == nil {
 		liveExtents.Add(-1)
-		l := n.left
-		t.retireNode(n)
-		return l
+		return n.left
 	}
-	n.right = t.dropLast(n.right)
+	n.right = dropLast(n.right)
 	return upd(n)
 }
 
@@ -233,7 +227,6 @@ func (t *Tree) Splice(off, del int64, b Buffer) {
 	mid, right := t.split(rest, del)
 	if mid != nil {
 		liveExtents.Add(-int64(mid.cnt))
-		t.retireAll(mid)
 	}
 
 	// Collect the insertion run, coalescing internally.
@@ -271,7 +264,7 @@ func (t *Tree) Splice(off, del int64, b Buffer) {
 	if len(ins) == 0 && left != nil && right != nil {
 		if m, ok := coalesce(lastNode(left).part, firstNode(right).part); ok {
 			extentMerges.Add(1)
-			left = t.dropLast(left)
+			left = dropLast(left)
 			setFirstPart(right, m)
 		}
 	}
@@ -364,60 +357,4 @@ func feedTree(n *extNode, s *hasher) {
 	feedTree(n.left, s)
 	n.part.feed(s)
 	feedTree(n.right, s)
-}
-
-// Compact re-coalesces the whole tree: adjacent extents that continue the
-// same synthetic stream (or are contiguous real-byte slices) but ended up as
-// separate nodes — typically after interleaved partial overwrites under
-// aggregation-pool churn — are merged, and the tree is rebuilt from the
-// shorter run. Returns the number of extents eliminated (0 when the tree is
-// already fully coalesced, in which case nothing is rebuilt).
-//
-// Content is untouched, so compaction is host-side only: simulated reads and
-// checksums are identical before and after. Reclaimed nodes bypass the epoch
-// delay — at this point the tree provably holds the only references.
-func (t *Tree) Compact() int {
-	n := int(ncnt(t.root))
-	if n <= 1 {
-		return 0
-	}
-	parts := t.ins[:0]
-	parts = compactCollect(t.root, parts)
-	t.ins = parts[:0]
-	if len(parts) == n {
-		return 0
-	}
-	liveExtents.Add(-int64(n))
-	t.retireAll(t.root)
-	t.root = nil
-	t.flushRetired()
-	var root *extNode
-	for _, p := range parts {
-		root = emerge(root, t.newNode(p))
-	}
-	t.root = root
-	reclaimed := n - len(parts)
-	compactions.Add(1)
-	compactedAway.Add(uint64(reclaimed))
-	return reclaimed
-}
-
-// compactCollect appends n's parts to out in content order, coalescing
-// adjacent runs as it goes.
-func compactCollect(n *extNode, out []Part) []Part {
-	if n == nil {
-		return out
-	}
-	out = compactCollect(n.left, out)
-	if len(out) > 0 {
-		if m, ok := coalesce(out[len(out)-1], n.part); ok {
-			extentMerges.Add(1)
-			out[len(out)-1] = m
-		} else {
-			out = append(out, n.part)
-		}
-	} else {
-		out = append(out, n.part)
-	}
-	return compactCollect(n.right, out)
 }

@@ -2,6 +2,7 @@ package payload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -16,59 +17,189 @@ func refSplice(ref []byte, off, del int64, b Buffer) []byte {
 	return out
 }
 
-// TestTreeSpliceMatchesReference drives a tree and a naive []byte model
-// through the same randomized splice sequence (inserts, deletes, overwrites,
-// appends; synthetic and real parts) and checks content, checksum, size, and
-// random slices after every step.
-func TestTreeSpliceMatchesReference(t *testing.T) {
+// spliceOpSize is the encoded length of one splice step.
+const spliceOpSize = 26
+
+// maxSpliceOps bounds the steps decoded from one input, so fuzzed inputs
+// stay fast to check.
+const maxSpliceOps = 512
+
+// spliceBacking is the shared array that kind-3 steps slice real bytes from:
+// neighbouring slices of it are contiguous and must coalesce in the tree.
+var spliceBacking = func() []byte {
+	b := make([]byte, 4096)
+	for i := range b {
+		b[i] = byte(i*131 + i>>8)
+	}
+	return b
+}()
+
+// spliceOp is one step of a splice sequence: where to splice, what to
+// insert, and which slice to read back afterwards. Positions and lengths are
+// reduced into their valid ranges when applied, so every byte string decodes
+// to a valid sequence.
+type spliceOp struct {
+	kind     uint8  // 0 synthetic run, 1 real bytes, 2 synthetic+real mix, 3 slice of spliceBacking
+	seed     uint8  // synthetic seed (kind 0)
+	n1, n2   uint16 // part lengths
+	off, del uint32 // splice range
+	soff     uint32 // synthetic stream offset (kinds 0, 2) or backing offset (kind 3)
+	so, sn   uint32 // read-back slice
+}
+
+func (op spliceOp) encode(b []byte) []byte {
+	b = append(b, op.kind, op.seed)
+	b = binary.LittleEndian.AppendUint16(b, op.n1)
+	b = binary.LittleEndian.AppendUint16(b, op.n2)
+	for _, v := range []uint32{op.off, op.del, op.soff, op.so, op.sn} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+func decodeSpliceOp(b []byte) spliceOp {
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
+	return spliceOp{
+		kind: b[0], seed: b[1],
+		n1: binary.LittleEndian.Uint16(b[2:]), n2: binary.LittleEndian.Uint16(b[4:]),
+		off: u32(6), del: u32(10), soff: u32(14), so: u32(18), sn: u32(22),
+	}
+}
+
+// buffer builds the content step inserts. Real-byte parts get a fresh
+// allocation per step, so they never coalesce with each other.
+func (op spliceOp) buffer(step int) Buffer {
+	n1, n2 := int64(op.n1%1024), int64(op.n2%1024)
+	var b Buffer
+	switch op.kind % 4 {
+	case 0:
+		b = Synth(uint64(op.seed), int64(op.soff), n1)
+	case 1:
+		b = FromBytes(Synth(uint64(step)+100, 0, n1).Materialize())
+	case 2:
+		b.AppendBuffer(Synth(3, int64(op.soff), n1))
+		b.AppendBuffer(FromBytes(Synth(uint64(step)+500, 0, n2).Materialize()))
+	case 3:
+		s := int64(op.soff) % int64(len(spliceBacking)+1)
+		n := n1 % (int64(len(spliceBacking)) - s + 1)
+		b = FromBytes(spliceBacking[s : s+n])
+	}
+	return b
+}
+
+// referenceSpliceOps encodes a randomized splice sequence (inserts, deletes,
+// overwrites, appends; synthetic and real parts), already reduced into the
+// valid ranges so it decodes back unchanged.
+func referenceSpliceOps() []byte {
 	rng := rand.New(rand.NewSource(7))
+	var data []byte
+	var size int64
+	for step := 0; step < 400; step++ {
+		var op spliceOp
+		if size > 0 {
+			op.off = uint32(rng.Int63n(size + 1))
+		}
+		if rest := size - int64(op.off); rest > 0 && rng.Intn(2) == 0 {
+			op.del = uint32(rng.Int63n(rest + 1))
+		}
+		op.kind = uint8(rng.Intn(3))
+		switch op.kind {
+		case 0: // synthetic run
+			op.seed = uint8(rng.Intn(5)) + 1
+			op.soff = uint32(rng.Int63n(1 << 20))
+			op.n1 = uint16(rng.Int63n(300))
+		case 1: // real bytes
+			op.n1 = uint16(rng.Int63n(200))
+		case 2: // multi-part mix
+			op.soff = uint32(rng.Int63n(1000))
+			op.n1 = uint16(rng.Int63n(100))
+			op.n2 = uint16(rng.Int63n(100))
+		}
+		size += op.buffer(step).Size() - int64(op.del)
+		if size > 0 {
+			op.so = uint32(rng.Int63n(size))
+			op.sn = uint32(rng.Int63n(size - int64(op.so) + 1))
+		}
+		data = op.encode(data)
+	}
+	return data
+}
+
+// checkSpliceSequence drives a tree and a naive []byte model through the
+// decoded splice sequence. After every step content, checksum, size and a
+// slice must agree, no two adjacent extents may be coalescible, and the
+// live-extent count must track the tree; Release must return it to where
+// it started.
+func checkSpliceSequence(t *testing.T, data []byte) {
+	base := DataPlaneSnapshot().LiveExtents
 	var tr Tree
 	var ref []byte
-	for step := 0; step < 400; step++ {
+	for step := 0; len(data) >= spliceOpSize && step < maxSpliceOps; step++ {
+		op := decodeSpliceOp(data)
+		data = data[spliceOpSize:]
 		size := int64(len(ref))
-		off := int64(0)
-		if size > 0 {
-			off = rng.Int63n(size + 1)
-		}
-		del := int64(0)
-		if size-off > 0 && rng.Intn(2) == 0 {
-			del = rng.Int63n(size - off + 1)
-		}
-		var b Buffer
-		switch rng.Intn(3) {
-		case 0: // synthetic run
-			b = Synth(uint64(rng.Intn(5))+1, rng.Int63n(1<<20), rng.Int63n(300))
-		case 1: // real bytes
-			b = FromBytes(Synth(uint64(step)+100, 0, rng.Int63n(200)).Materialize())
-		case 2: // multi-part mix
-			b.AppendBuffer(Synth(3, rng.Int63n(1000), rng.Int63n(100)))
-			b.AppendBuffer(FromBytes(Synth(uint64(step)+500, 0, rng.Int63n(100)).Materialize()))
-		}
+		off := int64(op.off) % (size + 1)
+		del := int64(op.del) % (size - off + 1)
+		b := op.buffer(step)
 		tr.Splice(off, del, b)
 		ref = refSplice(ref, off, del, b)
 
 		if tr.Size() != int64(len(ref)) {
 			t.Fatalf("step %d: size %d, want %d", step, tr.Size(), len(ref))
 		}
-		if step%20 == 0 {
-			if !bytes.Equal(tr.Buffer().Materialize(), ref) {
-				t.Fatalf("step %d: content diverged", step)
-			}
-			if tr.Checksum() != FromBytes(ref).Checksum() {
-				t.Fatalf("step %d: checksum diverged", step)
+		content := tr.Buffer()
+		if !bytes.Equal(content.Materialize(), ref) {
+			t.Fatalf("step %d: content diverged", step)
+		}
+		if tr.Checksum() != FromBytes(ref).Checksum() {
+			t.Fatalf("step %d: checksum diverged", step)
+		}
+		if len(content.parts) != tr.Extents() {
+			t.Fatalf("step %d: %d parts for %d extents", step, len(content.parts), tr.Extents())
+		}
+		for i := 1; i < len(content.parts); i++ {
+			if _, ok := coalesce(content.parts[i-1], content.parts[i]); ok {
+				t.Fatalf("step %d: extents %d and %d are adjacent and coalescible", step, i-1, i)
 			}
 		}
+		if live := DataPlaneSnapshot().LiveExtents - base; live != int64(tr.Extents()) {
+			t.Fatalf("step %d: %d live extents counted for a tree of %d", step, live, tr.Extents())
+		}
 		if n := int64(len(ref)); n > 0 {
-			so := rng.Int63n(n)
-			sn := rng.Int63n(n - so + 1)
+			so := int64(op.so) % n
+			sn := int64(op.sn) % (n - so + 1)
 			if got := tr.Slice(so, sn).Materialize(); !bytes.Equal(got, ref[so:so+sn]) {
 				t.Fatalf("step %d: slice(%d,%d) diverged", step, so, sn)
 			}
 		}
 	}
-	if !bytes.Equal(tr.Buffer().Materialize(), ref) {
-		t.Fatal("final content diverged")
+	tr.Release()
+	if live := DataPlaneSnapshot().LiveExtents; live != base {
+		t.Fatalf("live extents %d after release, want %d", live, base)
 	}
+}
+
+// TestTreeSpliceMatchesReference checks the tree against the []byte model
+// over a randomized splice sequence.
+func TestTreeSpliceMatchesReference(t *testing.T) {
+	checkSpliceSequence(t, referenceSpliceOps())
+}
+
+// FuzzTreeSplice checks the tree against the []byte model over arbitrary
+// splice sequences. The corpus is seeded from TestTreeSpliceMatchesReference
+// plus runs of adjacent real-byte slices, which must coalesce.
+func FuzzTreeSplice(f *testing.F) {
+	ops := referenceSpliceOps()
+	for _, n := range []int{8, 64, 400} {
+		f.Add(ops[:n*spliceOpSize])
+	}
+	var adjacent []byte // alternately prepend and append neighbouring slices: both seams
+	for i := uint32(0); i < 4; i++ {
+		adjacent = spliceOp{kind: 3, n1: 100, soff: 300 - i*100, sn: 50}.encode(adjacent)
+		adjacent = spliceOp{kind: 3, n1: 100, off: (2*i + 1) * 100, soff: 400 + i*100, sn: 50}.encode(adjacent)
+	}
+	f.Add(adjacent)
+	f.Fuzz(checkSpliceSequence)
 }
 
 // TestTreeCoalescesSyntheticStream checks that appending chunks that continue

@@ -78,7 +78,7 @@ func (pr *Process) Segment(name string) *Segment {
 	return nil
 }
 
-// Release returns every segment's extent nodes to the payload arena. Called
+// Release drops every segment's extent tree (see mem.Region.Release). Called
 // when the process's lifecycle ends: it exited, or its image has migrated
 // away and the source copy is being discarded.
 func (pr *Process) Release() {
@@ -120,7 +120,7 @@ func (t *Table) Adopt(pr *Process) error {
 }
 
 // Remove deletes a process from the table (exit or migration away), returning
-// its memory to the payload arena.
+// its memory.
 func (t *Table) Remove(pid int) {
 	if pr := t.procs[pid]; pr != nil {
 		pr.Release()
@@ -129,8 +129,8 @@ func (t *Table) Remove(pid int) {
 }
 
 // Clear empties the table — every process is gone at once, as when the node
-// hosting it crashes. Segment memory is returned to the arena: the simulated
-// images die with the node, and any checkpoint copy lives in the VFS.
+// hosting it crashes. Segment memory is released: the simulated images die
+// with the node, and any checkpoint copy lives in the VFS.
 func (t *Table) Clear() {
 	for _, pr := range t.procs {
 		pr.Release()

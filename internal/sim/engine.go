@@ -37,14 +37,7 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"ibmig/internal/payload"
 )
-
-// epochEveryEvents is how often (in dispatched events, power of two) the run
-// loop closes a payload reclamation epoch. Purely host-side: epoch closes
-// gate when retired extent nodes may be reused, never simulated behaviour.
-const epochEveryEvents = 1 << 16
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation.
@@ -212,10 +205,9 @@ func (e *Engine) ObsData() any { return e.obsData }
 func (e *Engine) SetResourceObserver(o ResourceObserver) { e.resObs = o }
 
 // SetFlushHook installs fn to run in engine context every `every` dispatched
-// events, like the payload reclamation epoch the run loop already closes
-// periodically. The hook is strictly host-side: it must not schedule events,
+// events. The hook is strictly host-side: it must not schedule events,
 // wake processes or otherwise touch the simulation — it exists so live
-// telemetry (heartbeats, arena gauges, stream flushes) has a periodic anchor
+// telemetry (heartbeats, data-plane gauges, stream flushes) has a periodic anchor
 // inside long event storms. Pass fn nil to disable (the default); the
 // disabled path is one nil check per dispatched event, and installing a hook
 // cannot change simulated results (TestFlushHookPassive pins this).
@@ -550,12 +542,6 @@ func (e *Engine) run(deadline Time) error {
 		ev := e.popEvent()
 		e.now = ev.t
 		e.dispatched++
-		if e.dispatched&(epochEveryEvents-1) == 0 {
-			// Close a payload reclamation epoch periodically so extent nodes
-			// retired by splice churn become reusable during long runs, not
-			// only when their owning lifecycle ends (see payload.AdvanceEpoch).
-			payload.AdvanceEpoch()
-		}
 		if e.flushFn != nil && e.dispatched%e.flushEvery == 0 {
 			e.flushFn(e.now)
 		}

@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"ibmig/internal/payload"
 )
 
 // maxTime is the largest representable virtual time, used as "no bound".
@@ -345,10 +343,6 @@ func (pe *Partitioned) Run(workers int) error {
 			return err
 		}
 		pe.windows++
-		// The window barrier is a natural reclamation boundary: nothing
-		// produced inside the window can still reference extent nodes retired
-		// during it once the merge has run.
-		payload.AdvanceEpoch()
 		for _, e := range pe.engines {
 			if e.Stopped() {
 				return nil

@@ -55,9 +55,8 @@ func (c *content) data() payload.Buffer { return c.t.Buffer() }
 // extents returns the number of extent descriptors backing the store.
 func (c *content) extents() int { return c.t.Extents() }
 
-// release returns the store's extent nodes to the payload arena and resets
-// it to empty. Called when the file's lifecycle ends: truncation by Create,
-// or Remove.
+// release drops the store's extent tree and resets it to empty. Called
+// when the file's lifecycle ends: truncation by Create, or Remove.
 func (c *content) release() {
 	c.t.Release()
 	c.size = 0

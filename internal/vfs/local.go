@@ -131,6 +131,13 @@ func (fs *FileSystem) Remove(name string) {
 	}
 }
 
+// RemoveAll deletes every file, as when the simulation is over.
+func (fs *FileSystem) RemoveAll() {
+	for len(fs.order) > 0 {
+		fs.Remove(fs.order[len(fs.order)-1].name)
+	}
+}
+
 func (fs *FileSystem) uncache(f *File) {
 	fs.cached -= f.cachedB
 	fs.dirty -= f.dirtyB

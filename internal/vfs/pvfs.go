@@ -125,7 +125,7 @@ func (pv *PVFS) open(f *pvfsFile, clientNode string) *Handle {
 // Exists reports whether the named file exists.
 func (pv *PVFS) Exists(name string) bool { return pv.files[name] != nil }
 
-// Remove deletes a file, returning its extent nodes to the payload arena.
+// Remove deletes a file and releases its content's extents.
 func (pv *PVFS) Remove(name string) {
 	f := pv.files[name]
 	if f == nil {
@@ -133,6 +133,13 @@ func (pv *PVFS) Remove(name string) {
 	}
 	f.c.release()
 	delete(pv.files, name)
+}
+
+// RemoveAll deletes every file, as when the simulation is over.
+func (pv *PVFS) RemoveAll() {
+	for name := range pv.files {
+		pv.Remove(name)
+	}
 }
 
 // server returns the data server holding the stripe containing offset off.
