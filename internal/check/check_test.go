@@ -3,6 +3,7 @@ package check
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"ibmig/internal/fault"
 	"ibmig/internal/npb"
@@ -93,6 +94,35 @@ func TestFaultedScenarioRecovers(t *testing.T) {
 	}
 	if res.Retries != 1 || res.Completed != 1 {
 		t.Fatalf("retries=%d completed=%d, want 1/1", res.Retries, res.Completed)
+	}
+}
+
+// TestWedgedJobEndsAsLivenessViolation pins the sweep's former livelock
+// (seed 430 of the 500-scenario sweep): the migration completes, then the
+// target's HCA fails for good and two ranks retry their sends forever while
+// everyone else waits on them. The job is neither done nor lost, so the run
+// must end at check.ctl's poll horizon with a liveness violation instead of
+// polling forever.
+func TestWedgedJobEndsAsLivenessViolation(t *testing.T) {
+	sc, err := Parse("r=4 ppn=1 sp=3 trig=21 f=hca-fail:tgt@t366 f=disk-fail:src@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result, 1)
+	go func() { done <- RunScenario(sc) }()
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("scenario did not return: check.ctl is polling a wedged job forever")
+	}
+	if res.Completed != 1 || res.JobLost || res.AppDone {
+		t.Fatalf("completed=%d lost=%v done=%v, want a completed migration and a job neither lost nor done",
+			res.Completed, res.JobLost, res.AppDone)
+	}
+	if len(res.Violations) != 1 || res.Violations[0].Invariant != "liveness" ||
+		res.Violations[0].Detail != "application hung after migration completed" {
+		t.Fatalf("violations = %v, want exactly the liveness hang", res.Violations)
 	}
 }
 

@@ -314,10 +314,10 @@ const ftRetryDelay = 5 * 1e6 // 5ms between send retries
 // dropping a message between two surviving ranks would block the receiver
 // forever, since restarted ranks continue rather than rewind. The message
 // is abandoned (and counted) only when the peer rank has finished — its
-// receives have all completed, so the payload can no longer matter. A
-// permanently broken fabric always comes with either a recovery suspension
-// (which parks this loop) or a lost job (whose frozen suspension parks it
-// for good), so the retry loop cannot spin unboundedly.
+// receives have all completed, so the payload can no longer matter. Nothing
+// else bounds the loop: an adapter that fails for good after a migration
+// completed raises no recovery suspension, and the loop retries until the
+// run is stopped.
 func (r *Rank) sendFT(to int, m ib.Message) {
 	for {
 		if r.suspendReq {

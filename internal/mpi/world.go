@@ -70,9 +70,11 @@ type World struct {
 
 	running int
 
-	// ftMode turns send errors from panics into bounded retries with
-	// connection rebuild (see Rank.sendFT) — required when the framework
-	// may fail and recover links underneath a running application.
+	// ftMode turns send errors from panics into retries with connection
+	// rebuild (see Rank.sendFT) — required when the framework may fail and
+	// recover links underneath a running application. The retries are not
+	// bounded: they end when the send succeeds, the peer rank finishes, or a
+	// suspension parks the rank.
 	ftMode     bool
 	ftDropped  int64
 	rebuilding map[[2]int]bool // rank pairs with a connection rebuild in flight

@@ -74,10 +74,10 @@ func BenchmarkManyBlockedProcs(b *testing.B) {
 // BenchmarkSameTimeBatch measures the ready-ring batch path: per op, 256
 // processes are spawned, all wake at the same instant, and retire — the
 // spawn/dispatch/retire churn of a collective fan-out. With the pooled spawn
-// path (Proc + wake channel + goroutine reuse, closure-free start events)
-// the steady state allocates nothing in the kernel; the shared worker body
-// and reusable WaitGroup keep the benchmark itself allocation-free too, so
-// allocs/op measures the kernel (regression guard: TestSameTimeBatchAllocs).
+// path (Proc + coroutine reuse, closure-free start events) the steady state
+// allocates nothing in the kernel; the shared worker body and reusable
+// WaitGroup keep the benchmark itself allocation-free too, so allocs/op
+// measures the kernel (regression guard: TestSameTimeBatchAllocs).
 func BenchmarkSameTimeBatch(b *testing.B) {
 	e := NewEngine(1)
 	const fanout = 256
@@ -162,6 +162,44 @@ func BenchmarkQueueChurn(b *testing.B) {
 			}
 		}
 	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	reportEventsPerSec(b, e)
+}
+
+// BenchmarkFlowStep is BenchmarkProcessPingPong's shape on flows: per op,
+// flow a wakes flow b and parks, and b wakes a back — two step invocations
+// from the run loop where the ping-pong pays two coroutine switches. The
+// gap between the two is what converting the flow callers to processes
+// would cost.
+func BenchmarkFlowStep(b *testing.B) {
+	e := NewEngine(1)
+	var pa, pb *Proc
+	rounds, finished := 0, false
+	pb = e.SpawnFlow("b", func(p *Proc, _ int) {
+		if finished {
+			p.FlowEnd()
+			return
+		}
+		if rounds > 0 {
+			pa.WakeDetached()
+		}
+		p.FlowPark("pong", "")
+	})
+	pa = e.SpawnFlow("a", func(p *Proc, _ int) {
+		if rounds == b.N {
+			finished = true
+			pb.WakeDetached()
+			p.FlowEnd()
+			return
+		}
+		rounds++
+		pb.WakeDetached()
+		p.FlowPark("ping", "")
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -1,12 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel drives "processes" — ordinary Go functions running in their own
-// goroutines — in strict cooperative lockstep: exactly one process executes at
-// a time, and control returns to the engine whenever a process blocks on a
-// simulated operation (Sleep, Event.Wait, Queue.Recv, Resource.Acquire, ...).
-// Virtual time only advances between events, so simulations are fully
-// deterministic: the same configuration and seed produce the same event trace
-// and the same virtual timings on every run, regardless of GOMAXPROCS.
+// The kernel drives "processes" — ordinary Go functions, each running on its
+// own runtime coroutine — in strict cooperative lockstep: exactly one process
+// executes at a time, and control returns to the engine whenever a process
+// blocks on a simulated operation (Sleep, Event.Wait, Queue.Recv,
+// Resource.Acquire, ...). Virtual time only advances between events, so
+// simulations are fully deterministic: the same configuration and seed
+// produce the same event trace and the same virtual timings on every run,
+// regardless of GOMAXPROCS.
 //
 // All higher layers of this repository (the InfiniBand fabric, the GigE
 // network, the FTB backplane, disks, file systems, the MPI runtime, and the
@@ -15,24 +16,26 @@
 // # Hot path
 //
 // The kernel is engineered so that the steady-state cost of an event is a few
-// pointer moves and one goroutine handoff, with no allocation:
+// pointer moves and at most one coroutine switch, with no allocation:
 //
 //   - events carry resume targets (process, token, reason) inline, so waking
 //     a process allocates no closure;
 //   - retired events are recycled through a freelist;
+//   - future events live in a typed binary heap that compares (t, key, seq)
+//     inline, with no interface dispatch and no boxing;
 //   - wakeups scheduled for the current instant — the overwhelmingly common
 //     case: queue handoffs, event broadcasts, resource admissions — bypass
 //     the time-ordered heap entirely and go through a FIFO ready ring, which
 //     batches any number of already-runnable processes at O(1) each;
-//   - the engine<->process handshake channels are buffered so a handoff costs
-//     one scheduler switch, not two.
+//   - a process parks and resumes through a runtime coroutine switch
+//     (iter.Pull), a direct goroutine-to-goroutine handoff that never goes
+//     through the Go scheduler's run queue.
 //
 // Pop order is still exactly (time, seq), so none of this is observable in
 // simulation results; see TestGoldenTraceUnchanged in internal/exp.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -64,9 +67,8 @@ func (t Time) String() string { return Duration(t).String() }
 const (
 	wakeSignal  = iota // the condition the process waited on was met
 	wakeTimeout        // a WaitTimeout/RecvTimeout deadline expired
-	wakeKill           // engine shutdown: unwind the process goroutine
+	wakeKill           // engine shutdown: unwind the process's coroutine
 	wakeStart          // a spawned process's start event (see Engine.Spawn)
-	wakeRetire         // shutdown of an idle pooled goroutine (see procLoop)
 )
 
 // killSentinel is the panic value used to unwind killed processes.
@@ -87,27 +89,72 @@ type event struct {
 	next   *event // freelist link
 }
 
+// eventHeap is a binary min-heap of future events ordered by (t, key, seq).
+// It is container/heap's algorithm specialised to *event: the comparison is
+// inlined and nothing is boxed into an interface on push or pop.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a pops before b.
+func before(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
+
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+// init restores the heap order after keys changed in place.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && before(h[r], h[j]) {
+			j = r
+		}
+		if !before(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Engine is a discrete-event simulation engine. Create one with NewEngine,
@@ -118,10 +165,9 @@ func (h *eventHeap) Pop() (popped any) {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap     // future events, ordered by (t, seq)
-	ready  ring[*event]  // events at exactly `now`, in seq order (the batch path)
-	free   *event        // retired-event freelist
-	parked chan struct{} // handshake: process -> engine on yield
+	events eventHeap    // future events, ordered by (t, seq)
+	ready  ring[*event] // events at exactly `now`, in seq order (the batch path)
+	free   *event       // retired-event freelist
 	rng    *rand.Rand
 	seed   int64
 
@@ -133,7 +179,7 @@ type Engine struct {
 	nextPID  int
 	procs    map[int]*Proc // live processes, for deadlock reporting
 	flowFree []*Proc       // retired flow Procs, recycled by SpawnFlow
-	procFree []*Proc       // retired goroutine-backed Procs, recycled by Spawn
+	procFree []*Proc       // retired coroutine-backed Procs, recycled by Spawn
 
 	tracer  Tracer
 	failure error // first process panic, aborts the run
@@ -157,7 +203,6 @@ type ResourceObserver interface {
 // determines every random choice made anywhere in the simulation.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		parked: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(seed)),
 		seed:   seed,
 		procs:  make(map[int]*Proc),
@@ -255,7 +300,7 @@ func (e *Engine) pushEvent(ev *event) {
 	if e.perturb != nil {
 		ev.key = e.perturb.Uint64()
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // EnablePerturbation turns on schedule perturbation: events scheduled for the
@@ -277,12 +322,12 @@ func (e *Engine) EnablePerturbation(seed int64) {
 	for e.ready.len() > 0 {
 		ev := e.ready.pop()
 		ev.key = e.perturb.Uint64()
-		heap.Push(&e.events, ev)
+		e.events.push(ev)
 	}
 	for _, ev := range e.events {
 		ev.key = e.perturb.Uint64()
 	}
-	heap.Init(&e.events)
+	e.events.init()
 }
 
 // Perturbed reports whether schedule perturbation is enabled.
@@ -310,10 +355,10 @@ func (e *Engine) After(d Duration, fn func()) {
 // current virtual time. It may be called before Run, from process context, or
 // from a scheduled callback.
 //
-// Spawn is pooled end to end: retired Procs are recycled (struct, wake
-// channel, and goroutine — the goroutine parks on its wake channel between
-// lives, see procLoop), and the start event is a plain resume bound to the
-// current token, so steady-state process churn allocates nothing.
+// Spawn is pooled end to end: retired Procs are recycled (struct and
+// coroutine — the coroutine waits in procLoop between lives), and the start
+// event is a plain resume bound to the current token, so steady-state
+// process churn allocates nothing.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	e.nextPID++
 	var p *Proc
@@ -324,7 +369,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		p.token++ // retire any registration that survived the previous life
 		p.started, p.done = false, false
 	} else {
-		p = &Proc{e: e, wake: make(chan int, 1)}
+		p = &Proc{e: e}
 	}
 	p.name, p.id, p.fn = name, e.nextPID, fn
 	e.live++
@@ -334,7 +379,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // SpawnFlow creates a flow: a lightweight process driven as a state machine
-// by engine callbacks instead of a goroutine. step is invoked once when the
+// by engine callbacks instead of a coroutine. step is invoked once when the
 // flow's start event fires and again on every wakeup; it blocks by calling a
 // Flow* primitive (FlowSleep, Resource.FlowAcquireStart/Retry) and returning,
 // and terminates with FlowEnd.
@@ -344,7 +389,8 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // deadlock reports, and pushes events in exactly the same order — so
 // converting a process to a flow cannot change simulation results (see
 // TestFlowMatchesProcTrace). What it saves is the host-side cost: no
-// goroutine, no handoff channels, no per-spawn allocation (retired flow Procs
+// coroutine, no stack and no switch per wakeup — a step is a plain function
+// call from the run loop — and no per-spawn allocation (retired flow Procs
 // are recycled through a freelist).
 func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
 	var p *Proc
@@ -380,31 +426,31 @@ func (e *Engine) recycleFlow(p *Proc) {
 func (e *Engine) start(p *Proc) {
 	p.started = true
 	e.tracer.Trace(e.now, "proc.start", p.name, "")
-	if p.looping {
-		// The Proc came from the pool: its goroutine is already parked in
-		// procLoop on the wake channel. Hand it the new life.
-		p.wake <- wakeStart
-	} else {
-		p.looping = true
-		go e.procLoop(p)
+	if p.next == nil {
+		// A fresh Proc: bind it to a new coroutine, which runs the first
+		// life as soon as it is switched to. A pooled Proc's coroutine is
+		// already waiting in procLoop for the next life.
+		e.newCoroutine(p)
 	}
-	<-e.parked
+	p.reason = wakeStart
+	p.next()
 }
 
-// procLoop is the body of a pooled process goroutine: run one life, return
-// the Proc to the pool, and park on the wake channel until Spawn assigns the
-// next life (wakeStart) or Shutdown retires the goroutine (wakeRetire).
+// procLoop is the body of a pooled process coroutine: run one life, return
+// the Proc to the pool, and yield to the engine until Spawn assigns the next
+// life (wakeStart) or Shutdown retires the coroutine (yield reports false).
 func (e *Engine) procLoop(p *Proc) {
 	for {
 		e.runProc(p)
-		if <-p.wake != wakeStart {
+		if !p.yield(struct{}{}) || p.reason != wakeStart {
 			return
 		}
 	}
 }
 
-// runProc executes one life of process p: the body, panic conversion,
-// end-of-life bookkeeping, recycling, and the handoff back to the engine.
+// runProc executes one life of process p on its coroutine: the body, panic
+// conversion, end-of-life bookkeeping and recycling. The switch back to the
+// engine happens in procLoop once runProc returns.
 func (e *Engine) runProc(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -419,7 +465,6 @@ func (e *Engine) runProc(p *Proc) {
 		p.name = ""
 		p.blockKind, p.blockName = "", ""
 		e.procFree = append(e.procFree, p)
-		e.parked <- struct{}{}
 	}()
 	fn := p.fn
 	p.fn = nil
@@ -441,12 +486,12 @@ func (e *Engine) resume(p *Proc, token uint64, reason int) {
 		e.resumeFlow(p, reason)
 		return
 	}
-	p.wake <- reason
-	<-e.parked
+	p.reason = reason
+	p.next()
 }
 
 // resumeFlow advances a flow in engine context. The first wakeup doubles as
-// the start event (tracing proc.start, as Engine.start does for goroutine
+// the start event (tracing proc.start, as Engine.start does for coroutine
 // processes); the token bump mirrors park's increment-on-wake. A panic in the
 // step function is converted into the run failure exactly like a process
 // panic, including the proc.end record.
@@ -518,12 +563,12 @@ func (e *Engine) RunUntil(deadline Time) error {
 // order, the heap is ordered by (t, seq) — so comparing heads is enough.
 func (e *Engine) popEvent() *event {
 	if e.ready.len() == 0 {
-		return heap.Pop(&e.events).(*event)
+		return e.events.pop()
 	}
-	if e.events.Len() > 0 {
+	if len(e.events) > 0 {
 		rh, hh := *e.ready.at(0), e.events[0]
 		if hh.t < rh.t || (hh.t == rh.t && hh.seq < rh.seq) {
-			return heap.Pop(&e.events).(*event)
+			return e.events.pop()
 		}
 	}
 	return e.ready.pop()
@@ -531,7 +576,7 @@ func (e *Engine) popEvent() *event {
 
 func (e *Engine) run(deadline Time) error {
 	e.stopped = false
-	for (e.ready.len() > 0 || e.events.Len() > 0) && !e.stopped {
+	for (e.ready.len() > 0 || len(e.events) > 0) && !e.stopped {
 		if deadline >= 0 {
 			next := e.nextTime()
 			if next > deadline {
@@ -597,7 +642,7 @@ func (e *Engine) At(t Time, fn func()) {
 // (0, false) when no events are queued. The partitioned executor derives the
 // next safe window horizon from it.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if e.ready.len() == 0 && e.events.Len() == 0 {
+	if e.ready.len() == 0 && len(e.events) == 0 {
 		return 0, false
 	}
 	return e.nextTime(), true
@@ -623,11 +668,11 @@ func (e *Engine) deadlock() error {
 // not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
-// Shutdown unwinds every still-blocked process goroutine. Call it once the
+// Shutdown unwinds every still-blocked process. Call it once the
 // simulation's result has been extracted (after Run/RunUntil/Stop) so that
 // perpetual daemons — network pumps, backplane agents — do not leak
-// goroutines across repeated simulations in one Go process. The engine must
-// not be used afterwards.
+// coroutines (and the goroutines under them) across repeated simulations in
+// one Go process. The engine must not be used afterwards.
 func (e *Engine) Shutdown() {
 	for e.live > 0 {
 		// Unwind in ascending-id order (deterministic). The id list is
@@ -646,12 +691,11 @@ func (e *Engine) Shutdown() {
 			}
 			if !victim.started {
 				// Its start event never fired (the run stopped first). A
-				// fresh Proc has no goroutine to unwind; a recycled one has
-				// its pooled goroutine parked in procLoop awaiting the life
-				// that now never begins — retire it directly.
-				if victim.looping {
-					victim.wake <- wakeRetire
-					victim.looping = false
+				// fresh Proc has no coroutine to unwind; a recycled one has
+				// its pooled coroutine waiting in procLoop for the life that
+				// now never begins — retire it directly.
+				if victim.next != nil {
+					victim.retire()
 				}
 				victim.done = true
 				victim.fn = nil
@@ -660,7 +704,7 @@ func (e *Engine) Shutdown() {
 				continue
 			}
 			if victim.step != nil {
-				// Flows have no goroutine; retiring one is bookkeeping plus
+				// Flows have no coroutine; retiring one is bookkeeping plus
 				// the same proc.end record a killed process would emit.
 				victim.done = true
 				e.live--
@@ -668,15 +712,17 @@ func (e *Engine) Shutdown() {
 				e.tracer.Trace(e.now, "proc.end", victim.name, "")
 				continue
 			}
-			victim.wake <- wakeKill
-			<-e.parked
+			// Switch to the parked coroutine with a kill: park panics
+			// killSentinel, the body unwinds through its defers, and
+			// runProc returns the Proc to the pool on the way out.
+			victim.reason = wakeKill
+			victim.next()
 		}
 	}
-	// Retire the idle pooled goroutines (including those of processes killed
+	// Retire the idle pooled coroutines (including those of processes killed
 	// above, which re-entered the pool on their way out).
 	for i, p := range e.procFree {
-		p.wake <- wakeRetire
-		p.looping = false
+		p.retire()
 		e.procFree[i] = nil
 	}
 	e.procFree = nil

@@ -9,7 +9,7 @@ import (
 
 // TestFlowMatchesProcTrace is the flow conversion's safety proof: the same
 // scenario — staggered workers contending for a capacity-2 resource, with
-// deliberate same-instant collisions — built once from goroutine processes
+// deliberate same-instant collisions — built once from coroutine processes
 // and once from flow state machines must produce byte-identical traces
 // (same pids, same proc.start/proc.end records, same timestamps, same
 // ordering). This is what lets ib.PostSend swap its per-message helper

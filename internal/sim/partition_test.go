@@ -304,7 +304,7 @@ func TestPartitionedBlockedReporting(t *testing.T) {
 }
 
 // TestSpawnPoolReuse pins the spawn-path pooling: after a wave of processes
-// retires, the next wave reuses their Procs and goroutines instead of
+// retires, the next wave reuses their Procs and coroutines instead of
 // allocating new ones.
 func TestSpawnPoolReuse(t *testing.T) {
 	e := NewEngine(1)
@@ -342,7 +342,7 @@ func TestSpawnPoolReuse(t *testing.T) {
 		t.Fatalf("goroutines grew %d -> %d across a pooled wave", before, after)
 	}
 	e.Shutdown()
-	// Shutdown retires the pooled goroutines; give the scheduler a moment.
+	// Shutdown retires the pooled coroutines; give the scheduler a moment.
 	for i := 0; i < 100 && runtime.NumGoroutine() >= before; i++ {
 		runtime.Gosched()
 	}

@@ -1,14 +1,16 @@
 package sim
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with all other processes under control of the Engine. All methods on Proc
-// (and on the synchronization primitives that take a *Proc) must be called
-// only from within the process's own function.
+// Proc is a simulated process: a function running on its own runtime
+// coroutine, whose execution is interleaved with all other processes under
+// control of the Engine. The engine switches into the coroutine to deliver a
+// wakeup, and the process switches back when it parks; the two never run at
+// the same time. All methods on Proc (and on the synchronization primitives
+// that take a *Proc) must be called only from within the process's own
+// function.
 type Proc struct {
 	e    *Engine
 	name string
 	id   int
-	wake chan int
 
 	// token guards against stale wakeups. It is incremented every time the
 	// process wakes; resume events capture the token current at scheduling
@@ -19,18 +21,27 @@ type Proc struct {
 	done    bool
 
 	// fn holds the body of a spawned process between Spawn and its start
-	// event; the start hands it to the (possibly pooled) goroutine.
+	// event; the start hands it to the (possibly pooled) coroutine.
 	fn func(*Proc)
 
-	// looping marks a goroutine-backed Proc whose goroutine is pooled:
-	// alive and parked on the wake channel between lives (see procLoop).
-	looping bool
+	// next, yield and stop are the ends of the Proc's coroutine (see
+	// Engine.newCoroutine): the engine switches into the process with next,
+	// the process switches back with yield, and stop retires the coroutine.
+	// They are nil until the first start and stay bound across the lives of
+	// a pooled Proc.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	// reason is the wake reason the engine hands over on each switch into
+	// the coroutine.
+	reason int
 
 	// step, when non-nil, marks this process as a flow: a state machine
-	// driven by engine callbacks instead of a goroutine (see Engine.SpawnFlow).
-	// The engine invokes step on every wakeup; the function parks by setting
-	// blockKind and returning, so a flow costs no goroutine, no channel, and
-	// no stack — only the events it schedules.
+	// driven by engine callbacks instead of a coroutine (see
+	// Engine.SpawnFlow). The engine invokes step on every wakeup; the
+	// function parks by setting blockKind and returning, so a flow costs no
+	// coroutine, no switch, and no stack — only the events it schedules.
 	step func(p *Proc, reason int)
 
 	// blockKind/blockName describe what the process is blocked on, kept as
@@ -52,24 +63,30 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park yields control to the engine until a wakeup arrives, returning the
+// park switches back to the engine until a wakeup arrives, returning the
 // wake reason. kind names the operation ("queue.recv"), name the primitive
-// ("mpi.eager:n3"); both are only read if the simulation deadlocks.
+// ("mpi.eager:n3"); both are only read if the simulation deadlocks. A kill
+// (Shutdown) unwinds the process by panicking killSentinel.
 func (p *Proc) park(kind, name string) int {
 	p.blockKind, p.blockName = kind, name
-	p.e.parked <- struct{}{}
-	r := <-p.wake
-	if r == wakeKill {
+	if !p.yield(struct{}{}) || p.reason == wakeKill {
 		panic(killSentinel{})
 	}
 	p.token++
 	p.blockKind, p.blockName = "", ""
-	return r
+	return p.reason
+}
+
+// retire ends p's pooled coroutine: its pending yield in procLoop reports
+// false and the coroutine returns.
+func (p *Proc) retire() {
+	p.stop()
+	p.next, p.yield, p.stop = nil, nil, nil
 }
 
 // flowPark records what a flow is blocked on and returns control to the
 // engine. The flow's step function will be re-invoked by the next matching
-// wakeup; unlike park there is no goroutine to suspend, so parking is just
+// wakeup; unlike park there is no coroutine to suspend, so parking is just
 // two field writes.
 func (p *Proc) flowPark(kind, name string) {
 	p.blockKind, p.blockName = kind, name
@@ -77,7 +94,7 @@ func (p *Proc) flowPark(kind, name string) {
 
 // FlowSleep schedules the flow's next step after d of virtual time. It
 // pushes exactly the same resume event Sleep does, so replacing a
-// goroutine-backed process with a flow is invisible to the event sequence.
+// coroutine-backed process with a flow is invisible to the event sequence.
 // It must be the last simulated action of the current step.
 func (p *Proc) FlowSleep(d Duration) {
 	if d < 0 {
@@ -102,7 +119,7 @@ func (p *Proc) FlowPark(kind, name string) { p.flowPark(kind, name) }
 func (p *Proc) WakeDetached() { waiter{p, p.token}.wake(wakeSignal) }
 
 // FlowEnd terminates the flow, emitting the same proc.end trace record a
-// goroutine-backed process emits when its function returns. The Proc is
+// coroutine-backed process emits when its function returns. The Proc is
 // recycled; the caller must not touch it afterwards.
 func (p *Proc) FlowEnd() {
 	p.done = true
